@@ -185,6 +185,11 @@ int Run(const char* argv0, const BenchArgs& args,
     CB_CHECK_OK(obs::WriteOracleVerdictsJsonlFile(rows, verdicts_path));
   }
 
+  // A sweep that judged nothing proves nothing; never report it as a pass.
+  if (cases.empty()) {
+    std::printf("\nno cases were evaluated\n");
+    return 1;
+  }
   if (failures > 0) {
     std::printf("\n%d case(s) failed an oracle; minimal repros:\n", failures);
     for (size_t i = 0; i < results.size(); ++i) {
@@ -209,21 +214,33 @@ int main(int argc, char** argv) {
   std::string jsonl_path;
   std::string verdicts_path;
   std::string faults;
-  std::string plans;
+  // Command-line arguments cannot contain NUL, so this value tells an
+  // absent --plans= apart from an empty one (which is rejected).
+  const std::string unset(1, '\0');
+  std::string plans = unset;
   std::string smoke;
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"},
-       {"--verdicts=", &verdicts_path,
-        "write per-oracle verdict rows (JSONL)"},
-       {"--faults=", &faults,
-        "replay one plan across all five SUTs (repro workflow)"},
-       {"--plans=", &plans, "number of fuzzed plans (default 50)"},
-       {"--smoke", &smoke, "25-plan CI subset (determinism + oracle gate)"}});
+  const std::vector<cloudybench::bench::BenchFlag> flags = {
+      {"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"},
+      {"--verdicts=", &verdicts_path, "write per-oracle verdict rows (JSONL)"},
+      {"--faults=", &faults,
+       "replay one plan across all five SUTs (repro workflow)"},
+      {"--plans=", &plans, "number of fuzzed plans, >= 1 (default 50)"},
+      {"--smoke", &smoke, "25-plan CI subset (determinism + oracle gate)"}};
+  cloudybench::bench::BenchArgs args =
+      cloudybench::bench::BenchArgs::Parse(argc, argv, flags);
   int n_plans = 50;
   if (args.full) n_plans = 100;
   if (!smoke.empty()) n_plans = 25;
-  if (!plans.empty()) n_plans = std::atoi(plans.c_str());
+  if (plans != unset) {
+    int64_t v = 0;
+    if (!cloudybench::util::ParseInt64(plans, &v) || v < 1 || v > 100000) {
+      std::fprintf(stderr, "%s: bad --plans=%s (want 1..100000)\n", argv[0],
+                   plans.c_str());
+      cloudybench::bench::BenchArgs::PrintUsage(stderr, argv[0], flags);
+      return 2;
+    }
+    n_plans = static_cast<int>(v);
+  }
   return cloudybench::bench::Run(argv[0], args, jsonl_path, verdicts_path,
                                  faults, n_plans);
 }

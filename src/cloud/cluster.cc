@@ -253,39 +253,32 @@ size_t Cluster::AddRoNode() {
 }
 
 void Cluster::PrewarmBuffers() {
+  const auto& tables = canonical_tables_.tables();
   int64_t total_pages = 0;
-  for (const auto& table : canonical_tables_.tables()) {
-    total_pages += table->pages();
-  }
+  for (const auto& table : tables) total_pages += table->pages();
   CB_CHECK_GT(total_pages, 0);
-  auto prewarm_one = [&](storage::BufferPool* pool, int32_t table_offset) {
+  // Every pool caches the same leading fraction of each table, the
+  // fraction its capacity covers of the whole data set. The pool is
+  // presized to min(capacity, data) rather than to the pages filled here:
+  // the per-table floors leave a full pool a few pages short, and those
+  // pages are admitted during the run, where growing a frame table of
+  // tens of megabytes would cost a reallocation and a copy.
+  auto prewarm = [&](storage::BufferPool* pool, int32_t table_offset) {
     double fraction =
         std::min(1.0, static_cast<double>(pool->capacity_pages()) /
                           static_cast<double>(total_pages));
-    for (const auto& table : canonical_tables_.tables()) {
-      int64_t admit = static_cast<int64_t>(
-          fraction * static_cast<double>(table->pages()));
-      for (int64_t page = 0; page < admit; ++page) {
-        pool->Admit(storage::PageId{table->id() + table_offset, page});
-      }
+    pool->Reserve(total_pages);
+    for (const auto& table : tables) {
+      pool->AdmitRun(table->id() + table_offset, 0,
+                     static_cast<int64_t>(
+                         fraction * static_cast<double>(table->pages())));
     }
   };
   for (const auto& node : nodes_) {
-    prewarm_one(&node->buffer(), node->config().page_table_offset);
+    prewarm(&node->buffer(), node->config().page_table_offset);
   }
   if (remote_buffer_ != nullptr) {
-    double fraction =
-        std::min(1.0, static_cast<double>(remote_buffer_->capacity_bytes() /
-                                          storage::BufferPool::kPageBytes) /
-                          static_cast<double>(total_pages));
-    for (const auto& table : canonical_tables_.tables()) {
-      int64_t admit = static_cast<int64_t>(
-          fraction * static_cast<double>(table->pages()));
-      for (int64_t page = 0; page < admit; ++page) {
-        remote_buffer_->Admit(storage::PageId{
-            table->id() + cfg_.node.page_table_offset, page});
-      }
-    }
+    prewarm(&remote_buffer_->pool(), cfg_.node.page_table_offset);
   }
 }
 

@@ -79,7 +79,10 @@ class RemoteBufferPool {
   int64_t capacity_bytes() const { return pool_.capacity_bytes(); }
   int64_t resident_pages() const { return pool_.resident_pages(); }
   int64_t fetches() const { return fetches_; }
-  double hit_rate() const { return pool_.hit_rate(); }
+
+  /// The underlying page cache, for Cluster::PrewarmBuffers' bulk fill.
+  /// Engine accesses go through Fetch and Admit.
+  storage::BufferPool& pool() { return pool_; }
 
   /// Deterministic fetch estimate (RDMA link queue + fixed fetch latency).
   sim::SimTime EstimatedFetchDelay() const {

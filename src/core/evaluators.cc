@@ -46,7 +46,18 @@ OltpResult OltpEvaluator::Run(sim::Environment* env, cloud::Cluster* cluster,
   result.cost_per_minute =
       PerMinute(cluster->meter().RucCost(t0, t1), t1 - t0);
   result.p_score = metrics::PScore(result.mean_tps, result.cost_per_minute);
-  result.buffer_hit_rate = cluster->rw()->buffer().hit_rate();
+  // Reads are served by the RW node and, when the cluster has replicas, by
+  // the RO nodes that RouteRead sends them to: pool the counts of both.
+  int64_t hits = cluster->rw()->buffer().hits();
+  int64_t accesses = hits + cluster->rw()->buffer().misses();
+  for (size_t i = 0; i < cluster->ro_count(); ++i) {
+    const storage::BufferPool& pool = cluster->ro(i)->buffer();
+    hits += pool.hits();
+    accesses += pool.hits() + pool.misses();
+  }
+  result.buffer_hit_rate =
+      accesses > 0 ? static_cast<double>(hits) / static_cast<double>(accesses)
+                   : 0.0;
   result.window_start_s = t0;
   result.window_end_s = t1;
   if (!options.metrics_export_path.empty()) {

@@ -63,7 +63,10 @@ void BufferPool::IndexErase(PageId page) {
 void BufferPool::GrowIndexIfNeeded() {
   // Keep load factor <= 0.5 so probe chains stay short.
   if (static_cast<size_t>(resident_ + 1) * 2 <= index_.size()) return;
-  size_t size = IndexSizeFor(index_.size() * 2);
+  RebuildIndex(IndexSizeFor(index_.size() * 2));
+}
+
+void BufferPool::RebuildIndex(size_t size) {
   index_.assign(size, kNil);
   index_mask_ = size - 1;
   index_shift_ = 64 - std::countr_zero(size);
@@ -185,11 +188,72 @@ BufferPool::AdmitResult BufferPool::Admit(PageId page) {
   frame.dirty = false;
   frame.dirty_prev = frame.dirty_next = kNil;
   frame.stamp = ++clock_;
-  LruPushFront(f);
+  // Grow before linking `f`: the rebuild re-inserts every page on the LRU
+  // list, and `page` would otherwise get a second index entry that outlives
+  // its eviction.
   GrowIndexIfNeeded();
+  LruPushFront(f);
   IndexInsert(page, f);
   ++resident_;
   return result;
+}
+
+void BufferPool::Reserve(int64_t pages) {
+  size_t n = static_cast<size_t>(std::min(pages, capacity_pages_));
+  if (n == 0) return;
+  // The frame table keeps the power-of-two headroom a doubling vector would
+  // have reached, still capped at capacity, so pages admitted beyond `n`
+  // (rows inserted during a run) reallocate no sooner than before. Unused
+  // headroom is address space, not resident memory.
+  size_t frames = std::min(std::bit_ceil(n),
+                           static_cast<size_t>(capacity_pages_));
+  if (frames_.capacity() < frames) frames_.reserve(frames);
+  // Same load-factor bound as GrowIndexIfNeeded, reached in one rebuild.
+  if (index_.size() < 2 * n) RebuildIndex(IndexSizeFor(2 * n));
+}
+
+void BufferPool::AdmitRun(TableId table, int64_t first, int64_t count) {
+  // Pages that can take a fresh frame without evicting anything. Admit
+  // reuses freed frames LIFO, so their presence sends the whole run down
+  // the Admit loop.
+  int64_t fast = 0;
+  if (free_frames_.empty()) {
+    fast = std::clamp<int64_t>(capacity_pages_ - resident_, 0, count);
+  }
+  if (fast > 0) {
+    Reserve(resident_ + fast);
+    // Far enough ahead to cover a cache miss on the index; the fill is
+    // otherwise bound by its random index accesses.
+    constexpr int64_t kPrefetchAhead = 16;
+    for (int64_t i = 0; i < fast; ++i) {
+      if (i + kPrefetchAhead < fast) {
+        PageId ahead{table, first + i + kPrefetchAhead};
+        __builtin_prefetch(&index_[Slot(ahead)], /*rw=*/1);
+      }
+      PageId page{table, first + i};
+      size_t slot = Slot(page);
+      bool resident = false;
+      for (int32_t f; (f = index_[slot]) != kNil;
+           slot = (slot + 1) & index_mask_) {
+        if (frames_[static_cast<size_t>(f)].page == page) {
+          resident = true;
+          break;
+        }
+      }
+      if (resident) continue;  // Admit's "raced in already": no change
+      // No eviction and no free frame: Admit would append a frame, stamp it
+      // and push it to the LRU head (Reserve keeps the index below its
+      // growth bound, so GrowIndexIfNeeded would be a no-op).
+      int32_t f = static_cast<int32_t>(frames_.size());
+      Frame& frame = frames_.emplace_back();
+      frame.page = page;
+      frame.stamp = ++clock_;
+      LruPushFront(f);
+      index_[slot] = f;
+      ++resident_;
+    }
+  }
+  for (int64_t i = fast; i < count; ++i) Admit(PageId{table, first + i});
 }
 
 void BufferPool::MarkDirty(PageId page) {

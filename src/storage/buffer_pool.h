@@ -52,6 +52,19 @@ class BufferPool {
   /// victim when the engine runs in write-back mode.
   AdmitResult Admit(PageId page);
 
+  /// Bulk cold fill: the same final state as calling Admit on pages
+  /// `first .. first + count - 1` of `table` in order — same frames, LRU
+  /// order, stamps, clock and counters. While the pages fit without
+  /// eviction and no freed frame is waiting for reuse, it runs one combined
+  /// find-or-insert probe per page into a presized index and appends frames
+  /// in sequence; the remainder falls back to the Admit loop.
+  void AdmitRun(TableId table, int64_t first, int64_t count);
+
+  /// Presizes the frame table and page index for `pages` resident pages,
+  /// capped at the capacity, so admits up to that many never reallocate or
+  /// rehash. Changes no observable state.
+  void Reserve(int64_t pages);
+
   /// Marks a resident page dirty; no-op when not resident (the engine may
   /// have evicted it between access and mark in pathological interleavings).
   void MarkDirty(PageId page);
@@ -122,6 +135,8 @@ class BufferPool {
   void IndexInsert(PageId page, int32_t frame);
   void IndexErase(PageId page);
   void GrowIndexIfNeeded();
+  /// Rebuilds the index at `size` slots (a power of two) from the LRU list.
+  void RebuildIndex(size_t size);
 
   // ---- intrusive lists ----
   void LruPushFront(int32_t f);

@@ -2,7 +2,9 @@
 // topology, transaction flow, replica convergence, replication-lag ordering,
 // fail-over (restart-in-place and RO promotion), and metering.
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -386,6 +388,67 @@ TEST(ClusterTest, Cdb4RemoteBufferStaysWarmAcrossRestart) {
   // The remote tier is not cleared by a compute restart — this is the
   // mechanism behind CDB4's fast TPS recovery (paper §III-E).
   EXPECT_GE(rig.cluster->remote_buffer()->resident_pages(), resident_before);
+}
+
+TEST(ClusterTest, PrewarmFillsEveryPoolWithItsShareOfEachTable) {
+  // Three tables of ~330 MB in all: larger than RDS/CDB1/CDB2 buffers,
+  // smaller than CDB3's and CDB4's. Each pool must end up holding the
+  // leading floor(fraction x pages) pages of every table, with fraction =
+  // min(1, capacity / data pages) -- the per-page Admit fill's result.
+  std::vector<TableSchema> schemas;
+  const std::vector<std::pair<const char*, int64_t>> sizes = {
+      {"a", 160000}, {"b", 80000}, {"c", 25000}};
+  for (const auto& [name, rows] : sizes) {
+    TableSchema schema = SmallSchema();
+    schema.name = name;
+    schema.base_rows_per_sf = rows;
+    schema.row_bytes = 1024;
+    schemas.push_back(schema);
+  }
+  for (SutKind kind : sut::AllSuts()) {
+    SCOPED_TRACE(sut::SutName(kind));
+    sim::Environment env;
+    ClusterConfig cfg = sut::MakeProfile(kind);
+    sut::FreezeAtMaxCapacity(&cfg);
+    Cluster cluster(&env, cfg, /*n_ro_nodes=*/1);
+    cluster.Load(schemas, /*scale_factor=*/1);
+    cluster.PrewarmBuffers();
+
+    const auto& tables = cluster.canonical()->tables();
+    int64_t total_pages = 0;
+    for (const auto& table : tables) total_pages += table->pages();
+    auto expect_prewarmed = [&](storage::BufferPool& pool, int32_t offset) {
+      double fraction =
+          std::min(1.0, static_cast<double>(pool.capacity_pages()) /
+                            static_cast<double>(total_pages));
+      int64_t expected = 0;
+      for (const auto& table : tables) {
+        int64_t n = static_cast<int64_t>(
+            fraction * static_cast<double>(table->pages()));
+        expected += n;
+        storage::TableId id = table->id() + offset;
+        if (n > 0) {
+          EXPECT_TRUE(pool.IsResident({id, n - 1}));
+        }
+        EXPECT_FALSE(pool.IsResident({id, n}));
+      }
+      EXPECT_EQ(pool.resident_pages(), expected);
+      EXPECT_EQ(pool.hits() + pool.misses(), 0);
+      return fraction;
+    };
+    std::vector<ComputeNode*> nodes = {cluster.rw()};
+    for (size_t i = 0; i < cluster.ro_count(); ++i) {
+      nodes.push_back(cluster.ro(i));
+    }
+    for (ComputeNode* node : nodes) {
+      expect_prewarmed(node->buffer(), node->config().page_table_offset);
+    }
+    if (cluster.remote_buffer() != nullptr) {
+      double fraction = expect_prewarmed(cluster.remote_buffer()->pool(),
+                                         cfg.node.page_table_offset);
+      EXPECT_EQ(fraction, 1.0);  // CDB4's 24 GB tier holds all the data
+    }
+  }
 }
 
 }  // namespace

@@ -49,6 +49,25 @@ INSTANTIATE_TEST_SUITE_P(AllSuts, PerSutTest,
 
 // ------------------------------------------------------------------ OLTP
 
+TEST_P(PerSutTest, OltpHitRateCountsReplicaServedReads) {
+  // Read-only cell with one replica: every T3 goes to the RO node, so a
+  // hit rate taken from the RW pool alone would read 0.
+  Rig rig(GetParam(), SalesWorkloadConfig::ReadOnly(), /*n_ro=*/1);
+  OltpEvaluator::Options options;
+  options.concurrency = 40;
+  options.warmup = sim::Millis(200);
+  options.measure = sim::Millis(800);
+  OltpResult r = OltpEvaluator::Run(&rig.env, rig.cluster.get(),
+                                    &rig.txns, options);
+  const storage::BufferPool& ro = rig.cluster->ro(0)->buffer();
+  ASSERT_GT(ro.hits(), 0);
+  EXPECT_EQ(rig.cluster->rw()->buffer().hits() +
+                rig.cluster->rw()->buffer().misses(),
+            0);
+  EXPECT_GT(r.buffer_hit_rate, 0.0);
+  EXPECT_DOUBLE_EQ(r.buffer_hit_rate, ro.hit_rate());
+}
+
 TEST_P(PerSutTest, OltpEvaluatorProducesSaneResults) {
   Rig rig(GetParam(), SalesWorkloadConfig::ReadWrite());
   OltpEvaluator::Options options;

@@ -231,6 +231,21 @@ TEST(BufferPoolTest, ShrinkEvictsAndClearResets) {
   EXPECT_EQ(pool.resident_pages(), 0);
 }
 
+TEST(BufferPoolTest, IndexGrowthLeavesNoStaleEntry) {
+  // The ninth admit grows the 16-slot index. Page 8 must not be indexed
+  // twice, or after its eviction the leftover entry still finds its (now
+  // free) frame and a lookup reports a phantom hit.
+  BufferPool pool(BufferPool::kPageBytes * 100);
+  for (int64_t i = 0; i < 10; ++i) pool.Admit({0, i});
+  pool.SetCapacity(BufferPool::kPageBytes * 1);  // evicts pages 0..8
+  EXPECT_EQ(pool.resident_pages(), 1);
+  for (int64_t i = 0; i < 9; ++i) {
+    EXPECT_FALSE(pool.IsResident({0, i})) << "page " << i;
+    EXPECT_FALSE(pool.Touch({0, i})) << "page " << i;
+  }
+  EXPECT_TRUE(pool.Touch({0, 9}));
+}
+
 TEST(BufferPoolTest, HigherCapacityNeverLowersHitRate) {
   // Property: for the same reference string, a bigger LRU pool hits at
   // least as often (LRU inclusion property).
@@ -586,6 +601,147 @@ TEST(BufferPoolTraceTest, MatchesReferenceModelOnRandom100kOpTrace) {
   EXPECT_EQ(pool.resident_pages(), ref.resident_pages());
   EXPECT_EQ(pool.dirty_pages(), ref.dirty_pages());
   EXPECT_EQ(pool.forced_dirty_evictions(), ref.forced_dirty_evictions());
+}
+
+// ------------------------------------------------ BufferPool bulk cold fill
+
+// AdmitRun's contract is "the same final state as Admit on each page in
+// order". Each case fills one pool with AdmitRun and its twin with the Admit
+// loop, then drives both with one random trace: every hit, victim, dirty
+// victim and TakeDirty batch must match, and a final sweep of fresh pages
+// evicts both pools' whole LRU order.
+struct PageRun {
+  TableId table;
+  int64_t first;
+  int64_t count;
+};
+
+void DriveTwinsAndCompare(BufferPool* bulk, BufferPool* loop, uint64_t seed) {
+  ASSERT_EQ(bulk->resident_pages(), loop->resident_pages());
+  ASSERT_EQ(bulk->hits(), loop->hits());
+  ASSERT_EQ(bulk->misses(), loop->misses());
+  util::Pcg32 rng(seed);
+  auto rand_page = [&rng] {
+    return PageId{static_cast<TableId>(rng.NextBounded(4)),
+                  static_cast<int64_t>(rng.NextBounded(900))};
+  };
+  for (int op = 0; op < 20000; ++op) {
+    uint32_t r = rng.NextBounded(100);
+    if (r < 60) {
+      PageId p = rand_page();
+      bool hit = bulk->Touch(p);
+      ASSERT_EQ(hit, loop->Touch(p)) << "op " << op;
+      if (!hit) {
+        BufferPool::AdmitResult a = bulk->Admit(p);
+        BufferPool::AdmitResult b = loop->Admit(p);
+        ASSERT_EQ(a.evicted, b.evicted) << "op " << op;
+        ASSERT_EQ(a.victim_dirty, b.victim_dirty) << "op " << op;
+        if (a.evicted) {
+          ASSERT_EQ(a.victim, b.victim) << "op " << op;
+        }
+      }
+    } else if (r < 85) {
+      PageId p = rand_page();
+      bulk->MarkDirty(p);
+      loop->MarkDirty(p);
+    } else if (r < 97) {
+      size_t n = 1 + rng.NextBounded(16);
+      ASSERT_EQ(bulk->TakeDirty(n), loop->TakeDirty(n)) << "op " << op;
+    } else {
+      int64_t pages = 200 + static_cast<int64_t>(rng.NextBounded(1200));
+      bulk->SetCapacity(pages * BufferPool::kPageBytes);
+      loop->SetCapacity(pages * BufferPool::kPageBytes);
+    }
+  }
+  for (int64_t i = 0; i < bulk->capacity_pages(); ++i) {
+    BufferPool::AdmitResult a = bulk->Admit(PageId{9, i});
+    BufferPool::AdmitResult b = loop->Admit(PageId{9, i});
+    ASSERT_EQ(a.evicted, b.evicted) << "sweep " << i;
+    ASSERT_EQ(a.victim, b.victim) << "sweep " << i;
+    ASSERT_EQ(a.victim_dirty, b.victim_dirty) << "sweep " << i;
+  }
+  EXPECT_EQ(bulk->hits(), loop->hits());
+  EXPECT_EQ(bulk->misses(), loop->misses());
+  EXPECT_EQ(bulk->resident_pages(), loop->resident_pages());
+  EXPECT_EQ(bulk->dirty_pages(), loop->dirty_pages());
+  EXPECT_EQ(bulk->forced_dirty_evictions(), loop->forced_dirty_evictions());
+}
+
+/// Applies `prefix` through Admit to both pools (the pool's history before
+/// the fill), then fills `bulk` with AdmitRun and `loop` with Admit.
+void FillTwins(BufferPool* bulk, BufferPool* loop,
+               const std::vector<PageId>& prefix,
+               const std::vector<PageRun>& runs) {
+  for (PageId p : prefix) {
+    bulk->Admit(p);
+    loop->Admit(p);
+  }
+  for (const PageRun& run : runs) {
+    bulk->AdmitRun(run.table, run.first, run.count);
+    for (int64_t i = 0; i < run.count; ++i) {
+      loop->Admit(PageId{run.table, run.first + i});
+    }
+  }
+}
+
+TEST(BufferPoolBulkFillTest, ColdFillWithinCapacityMatchesAdmitLoop) {
+  BufferPool bulk(1000 * BufferPool::kPageBytes);
+  BufferPool loop(1000 * BufferPool::kPageBytes);
+  bulk.Reserve(850);
+  FillTwins(&bulk, &loop, {}, {{0, 0, 400}, {1, 0, 300}, {2, 0, 150}});
+  EXPECT_EQ(bulk.resident_pages(), 850);
+  EXPECT_EQ(bulk.misses(), 0);
+  DriveTwinsAndCompare(&bulk, &loop, 1);
+}
+
+TEST(BufferPoolBulkFillTest, FillPastCapacityFallsBackToEviction) {
+  BufferPool bulk(500 * BufferPool::kPageBytes);
+  BufferPool loop(500 * BufferPool::kPageBytes);
+  FillTwins(&bulk, &loop, {}, {{0, 0, 400}, {1, 0, 300}, {2, 100, 50}});
+  EXPECT_EQ(bulk.resident_pages(), 500);
+  EXPECT_TRUE(bulk.IsResident(PageId{2, 149}));
+  EXPECT_FALSE(bulk.IsResident(PageId{0, 0}));
+  DriveTwinsAndCompare(&bulk, &loop, 2);
+}
+
+TEST(BufferPoolBulkFillTest, NonEmptyPoolSkipsResidentPages) {
+  BufferPool bulk(800 * BufferPool::kPageBytes);
+  BufferPool loop(800 * BufferPool::kPageBytes);
+  // Half the prefix overlaps the runs; resident pages keep their stamps
+  // and LRU positions, as Admit's early return leaves them.
+  std::vector<PageId> prefix;
+  for (int64_t i = 0; i < 120; ++i) prefix.push_back(PageId{1, i * 3});
+  for (int64_t i = 0; i < 120; ++i) prefix.push_back(PageId{3, i});
+  FillTwins(&bulk, &loop, prefix, {{1, 0, 300}, {0, 50, 200}, {1, 250, 400}});
+  DriveTwinsAndCompare(&bulk, &loop, 3);
+}
+
+TEST(BufferPoolBulkFillTest, FreeFramesTakeTheAdmitPath) {
+  BufferPool bulk(600 * BufferPool::kPageBytes);
+  BufferPool loop(600 * BufferPool::kPageBytes);
+  std::vector<PageId> prefix;
+  for (int64_t i = 0; i < 500; ++i) prefix.push_back(PageId{2, i});
+  FillTwins(&bulk, &loop, prefix, {});
+  // Shrinking evicts into the free-frame list; growing back leaves those
+  // frames waiting for reuse when the fill starts.
+  for (BufferPool* pool : {&bulk, &loop}) {
+    pool->SetCapacity(300 * BufferPool::kPageBytes);
+    pool->SetCapacity(900 * BufferPool::kPageBytes);
+  }
+  FillTwins(&bulk, &loop, {}, {{0, 0, 250}, {1, 0, 400}});
+  EXPECT_EQ(bulk.resident_pages(), 900);
+  DriveTwinsAndCompare(&bulk, &loop, 4);
+}
+
+TEST(BufferPoolBulkFillTest, ReserveChangesNoObservableState) {
+  BufferPool bulk(64 * BufferPool::kPageBytes);
+  BufferPool loop(64 * BufferPool::kPageBytes);
+  std::vector<PageId> prefix;
+  for (int64_t i = 0; i < 40; ++i) prefix.push_back(PageId{0, i});
+  FillTwins(&bulk, &loop, prefix, {});
+  bulk.Reserve(1'000'000);  // capped at the capacity
+  FillTwins(&bulk, &loop, {}, {{1, 0, 24}});
+  DriveTwinsAndCompare(&bulk, &loop, 5);
 }
 
 TEST(LinkTest, ProfilesMatchPaperTableIV) {
